@@ -139,12 +139,14 @@ impl Compiler {
 
     /// Runs implementation synthesis for `machine` (paper §4.3-§4.5).
     ///
-    /// Synthesis scales with host cores: candidate evaluations inside
-    /// the annealer and replication-variant searches fan out over
-    /// `opts.threads` workers (`0` = every available core), memoizing
-    /// simulations by layout fingerprint. The plan is bit-identical at
-    /// any thread count — `SynthesisOptions::default()` is already
-    /// parallel, and `opts.with_threads(1)` forces the serial schedule.
+    /// Synthesis uses at most `opts.threads` threads (`0` = one per
+    /// available core); small searches run on the caller's thread. One
+    /// simulation pool serves the whole call: a batch of candidate
+    /// simulations starts or wakes helper threads only when they take
+    /// more simulation time off the caller than they cost to start, and
+    /// simulations are memoized by layout fingerprint. The plan is
+    /// bit-identical at any thread count; `opts.with_threads(1)` forces
+    /// the serial schedule.
     pub fn synthesize<R: Rng>(
         &self,
         profile: &Profile,
@@ -158,7 +160,8 @@ impl Compiler {
     /// Like [`Self::synthesize`], additionally recording the DSA
     /// optimizer's search statistics (iterations, simulations,
     /// acceptance rate, simulation-cache hits/misses, best-cost
-    /// trajectory) into `telemetry` as `dsa.*` metrics.
+    /// trajectory) and its simulation pool's decisions into `telemetry`
+    /// as `dsa.*` and `dsa.pool.*` metrics.
     pub fn synthesize_with_telemetry<R: Rng>(
         &self,
         profile: &Profile,
@@ -169,6 +172,7 @@ impl Compiler {
     ) -> SynthesisResult {
         let result = self.synthesize(profile, machine, opts, rng);
         telemetry.record_dsa(&result.stats);
+        telemetry.record_dsa_pool(&result.pool);
         result
     }
 }

@@ -10,16 +10,20 @@
 //! iteration fails to improve the best layout, the search continues with
 //! some probability (escaping local maxima) and otherwise stops.
 //!
-//! # Parallel, memoized evaluation
+//! # Pooled, memoized evaluation
 //!
 //! Candidate evaluation — the expensive part — is a pure function of
 //! `(spec, graph, layout, profile, machine)`: [`simulate`] consumes no
 //! randomness. The optimizer exploits that twice:
 //!
-//! * each iteration's un-memoized candidates fan out across a
-//!   [`std::thread::scope`] worker pool ([`DsaOptions::threads`]) and the
-//!   results are collected back **in candidate index order**, so sorting,
-//!   pruning, and [`DsaStats`] are bit-identical to a serial run;
+//! * each iteration's un-memoized candidates go to the search's
+//!   simulation pool ([`crate::pool`]): the driver thread simulates every
+//!   batch itself and shares it with parked helpers (at most
+//!   [`DsaOptions::threads`] threads in all) only when the simulation
+//!   time they would take off the driver exceeds the host's measured
+//!   helper start cost. Results are collected back **in candidate index
+//!   order**, so sorting, pruning, and [`DsaStats`] are bit-identical to
+//!   a serial run;
 //! * a [`SimCache`] keyed by [`Layout::fingerprint`] replays results for
 //!   layouts whose signature was already simulated
 //!   ([`DsaOptions::memoize`]), so survivors re-entering the pool never
@@ -37,10 +41,11 @@
 //! may change a single bit of the result (differentially tested against
 //! [`DsaEngine::Reference`]):
 //!
-//! * **Arena engine.** Candidates score on reusable [`SimEngine`]s (one
-//!   per worker) over a shared [`SimProgram`]: prediction streams,
-//!   routing memos, and event arenas persist across the hundreds of
-//!   simulations of one search instead of being rebuilt per candidate.
+//! * **Arena engine.** Candidates score on reusable
+//!   [`SimEngine`](crate::sim::SimEngine)s (one per pool thread) over a
+//!   shared [`SimProgram`]: prediction streams, routing memos, and event
+//!   arenas persist across the hundreds of simulations of one search
+//!   instead of being rebuilt per candidate.
 //! * **Idle-cone delta hits.** Every candidate is derived from a parent
 //!   survivor by moving a known instance set. Each cached result carries
 //!   a [`DeltaInfo`](crate::sim::DeltaInfo) journal of which instances
@@ -58,21 +63,23 @@
 use crate::critpath::{apply_move, propose_moves, MoveProposal};
 use crate::groups::GroupGraph;
 use crate::layout::{InstanceId, Layout};
-use crate::sim::{simulate, CachedSim, SimCache, SimEngine, SimOptions, SimProgram, SimResult};
+use crate::pool::{with_pool, PoolStats, SimPool};
+use crate::sim::{simulate, CachedSim, SimCache, SimOptions, SimProgram, SimResult};
 use bamboo_lang::spec::ProgramSpec;
 use bamboo_machine::{CoreId, MachineDescription};
 use bamboo_profile::{Cycles, Profile};
 use rand::Rng;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which evaluation engine scores candidates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DsaEngine {
-    /// The reference simulator, one from-scratch run per candidate.
-    /// The semantics baseline; also the honest A/B leg for benchmarks.
+    /// The reference simulator, one from-scratch run per candidate on
+    /// the driver thread, whatever [`DsaOptions::threads`] says. The
+    /// serial semantics oracle; also the honest A/B leg for benchmarks.
     Reference,
-    /// The arena [`SimEngine`] with idle-cone delta reuse. Bit-identical
+    /// The arena [`SimEngine`](crate::sim::SimEngine) with idle-cone
+    /// delta reuse, on the search's simulation pool. Bit-identical
     /// results, several times faster.
     Delta,
 }
@@ -92,8 +99,11 @@ pub struct DsaOptions {
     pub moves_per_layout: usize,
     /// Upper bound on live candidates per iteration.
     pub max_candidates: usize,
-    /// Worker threads for candidate evaluation: `0` uses every available
-    /// core, `1` evaluates serially on the driver thread. The result is
+    /// Upper bound on live simulation threads, the caller's included:
+    /// at most this many threads; small searches run on the caller's
+    /// thread. `0` allows one per available core, `1` evaluates serially
+    /// on the caller's thread. Helpers start only when a batch of
+    /// simulations pays for them (see [`crate::pool`]). The result is
     /// bit-identical at any setting.
     pub threads: usize,
     /// Memoize simulation results across iterations by layout
@@ -126,17 +136,6 @@ impl Default for DsaOptions {
                 ..SimOptions::default()
             },
         }
-    }
-}
-
-/// Resolves a thread-count knob: `0` means every available core.
-pub(crate) fn worker_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
     }
 }
 
@@ -239,6 +238,8 @@ impl Candidate {
 }
 
 /// Runs directed simulated annealing from `initial` candidate layouts.
+/// Candidate simulations run on one simulation pool for the call, with
+/// at most [`DsaOptions::threads`] threads.
 ///
 /// Returns the best layout found, its simulation result, and search
 /// statistics.
@@ -286,21 +287,44 @@ pub fn optimize_with_cache<R: Rng>(
         !initial.is_empty(),
         "DSA needs at least one starting layout"
     );
-    let threads = worker_threads(opts.threads);
+    let program = SimProgram::new(spec, graph, profile, machine, &opts.sim);
+    with_scorer(&program, opts, |pool| {
+        anneal(&program, initial, opts, rng, cache, pool)
+    })
+    .0
+}
+
+/// Runs `search` with what `opts.engine` scores candidates on: a
+/// simulation pool over `program` for [`DsaEngine::Delta`], none (the
+/// serial reference engine) for [`DsaEngine::Reference`].
+pub(crate) fn with_scorer<T>(
+    program: &SimProgram<'_>,
+    opts: &DsaOptions,
+    search: impl FnOnce(Option<&mut SimPool<'_, '_>>) -> T,
+) -> (T, PoolStats) {
+    match opts.engine {
+        DsaEngine::Reference => (search(None), PoolStats::default()),
+        DsaEngine::Delta => with_pool(program, opts.threads, |pool| search(Some(pool))),
+    }
+}
+
+/// The annealing loop of [`optimize_with_cache`], scoring candidates
+/// with the reference engine when `pool` is `None` and on `pool`
+/// otherwise. `synthesize` runs one loop per replication variant over
+/// one shared program and pool.
+pub(crate) fn anneal<R: Rng>(
+    program: &SimProgram<'_>,
+    initial: Vec<Layout>,
+    opts: &DsaOptions,
+    rng: &mut R,
+    cache: &mut SimCache,
+    mut pool: Option<&mut SimPool<'_, '_>>,
+) -> (Layout, SimResult, DsaStats) {
+    let graph = program.graph;
     let mut stats = DsaStats::default();
     let evictions_before = cache.evictions();
     let mut best: Option<(Layout, SimResult)> = None;
     let mut seen: HashSet<u64> = HashSet::new();
-
-    // The delta engine's shared program and per-worker engine pool. All
-    // engine state (prediction streams, routing memos, arenas) persists
-    // across the whole search.
-    let program = (opts.engine == DsaEngine::Delta)
-        .then(|| SimProgram::new(spec, graph, profile, machine, &opts.sim));
-    let mut engines: Vec<SimEngine> = program
-        .as_ref()
-        .map(|p| (0..threads.max(1)).map(|_| SimEngine::new(p)).collect())
-        .unwrap_or_default();
 
     // Deduplicate the starting pool by fingerprint and seed the
     // duplicate set with it. This gives the pool a strict invariant —
@@ -319,19 +343,14 @@ pub fn optimize_with_cache<R: Rng>(
     for _ in 0..opts.max_iterations {
         stats.iterations += 1;
         // Evaluate: replay memoized results, synthesize idle-cone delta
-        // hits, fan the rest out across the worker pool, and reassemble
-        // in candidate index order.
-        let pool = std::mem::take(&mut candidates);
+        // hits, simulate the rest, and reassemble in candidate index
+        // order.
         let mut evaluated = evaluate_candidates(
-            spec,
-            graph,
-            profile,
-            machine,
+            program,
             opts,
-            pool,
-            threads,
+            std::mem::take(&mut candidates),
             cache,
-            &mut engines,
+            pool.as_deref_mut(),
             &mut stats,
         );
         evaluated.sort_by_key(|(_, r)| r.makespan);
@@ -486,26 +505,20 @@ pub fn optimize_with_cache<R: Rng>(
 ///
 /// Memoized fingerprints replay from `cache`; candidates whose moved
 /// instances sit outside their parent's activity cone synthesize from
-/// the parent's journal (delta engine only); the rest simulate — on the
-/// driver thread when `threads <= 1` or only one simulation is due, on a
-/// scoped worker pool otherwise. Workers pull slots from a shared atomic
-/// cursor (simulation costs vary, so static striping would idle the fast
-/// workers) and results are stitched back by slot index, making the
-/// returned vector — and therefore everything downstream — independent
-/// of worker count and scheduling.
-#[allow(clippy::too_many_arguments)]
+/// the parent's journal (delta engine only); the rest simulate as one
+/// batch — on the search's simulation `pool`, or serially on the
+/// reference engine when there is none. The pool returns results by slot
+/// index, so the returned vector — and therefore everything downstream —
+/// is independent of how many threads simulated the batch.
 fn evaluate_candidates(
-    spec: &ProgramSpec,
-    graph: &GroupGraph,
-    profile: &Profile,
-    machine: &MachineDescription,
+    program: &SimProgram<'_>,
     opts: &DsaOptions,
     candidates: Vec<Candidate>,
-    threads: usize,
     cache: &mut SimCache,
-    engines: &mut [SimEngine],
+    pool: Option<&mut SimPool<'_, '_>>,
     stats: &mut DsaStats,
 ) -> Vec<(Layout, SimResult)> {
+    let graph = program.graph;
     let mut results: Vec<Option<SimResult>> = vec![None; candidates.len()];
     let mut due: Vec<usize> = Vec::with_capacity(candidates.len());
     let mut fingerprints: Vec<u64> = vec![0; candidates.len()];
@@ -557,29 +570,28 @@ fn evaluate_candidates(
     stats.cache_misses += due.len();
     stats.simulations += due.len();
 
-    let collect_trace = opts.sim.collect_trace;
-    match opts.engine {
-        DsaEngine::Reference => {
-            for (slot, result) in simulate_slots(
-                spec,
-                graph,
-                profile,
-                machine,
-                &opts.sim,
-                &candidates,
-                &due,
-                threads,
-            ) {
+    let layouts: Vec<Layout> = candidates.into_iter().map(|c| c.layout).collect();
+    let layouts = match pool {
+        None => {
+            for &slot in &due {
+                let result = simulate(
+                    program.spec,
+                    graph,
+                    &layouts[slot],
+                    program.profile,
+                    program.machine,
+                    &opts.sim,
+                );
                 if opts.memoize {
                     cache.insert(fingerprints[slot], result.clone());
                 }
                 results[slot] = Some(result);
             }
+            layouts
         }
-        DsaEngine::Delta => {
-            for (slot, result, journal) in
-                simulate_slots_engine(&candidates, &due, engines, threads, collect_trace)
-            {
+        Some(pool) => {
+            let (layouts, scored) = pool.simulate(layouts, due, opts.sim.collect_trace);
+            for (slot, result, journal) in scored {
                 if opts.memoize {
                     cache.insert_entry(
                         fingerprints[slot],
@@ -591,131 +603,14 @@ fn evaluate_candidates(
                 }
                 results[slot] = Some(result);
             }
+            layouts
         }
-    }
-    candidates
+    };
+    layouts
         .into_iter()
         .zip(results)
-        .map(|(candidate, result)| (candidate.layout, result.expect("every slot scored")))
+        .map(|(layout, result)| (layout, result.expect("every slot scored")))
         .collect()
-}
-
-/// Simulates `candidates[slot]` on the reference engine for every slot
-/// in `due`, returning `(slot, result)` pairs sorted by slot.
-#[allow(clippy::too_many_arguments)]
-fn simulate_slots(
-    spec: &ProgramSpec,
-    graph: &GroupGraph,
-    profile: &Profile,
-    machine: &MachineDescription,
-    sim_opts: &SimOptions,
-    candidates: &[Candidate],
-    due: &[usize],
-    threads: usize,
-) -> Vec<(usize, SimResult)> {
-    let workers = threads.min(due.len());
-    if workers <= 1 {
-        return due
-            .iter()
-            .map(|&slot| {
-                (
-                    slot,
-                    simulate(
-                        spec,
-                        graph,
-                        &candidates[slot].layout,
-                        profile,
-                        machine,
-                        sim_opts,
-                    ),
-                )
-            })
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut scored: Vec<(usize, SimResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&slot) = due.get(next) else { break };
-                        local.push((
-                            slot,
-                            simulate(
-                                spec,
-                                graph,
-                                &candidates[slot].layout,
-                                profile,
-                                machine,
-                                sim_opts,
-                            ),
-                        ));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation worker panicked"))
-            .collect()
-    });
-    scored.sort_by_key(|(slot, _)| *slot);
-    scored
-}
-
-/// Simulates `candidates[slot]` on the arena engine pool for every slot
-/// in `due`, returning `(slot, result, journal)` triples sorted by slot.
-/// Each worker owns one persistent [`SimEngine`]; simulation is a pure
-/// function of the layout, so the slot→engine assignment (which varies
-/// with scheduling) never shows in the results.
-fn simulate_slots_engine(
-    candidates: &[Candidate],
-    due: &[usize],
-    engines: &mut [SimEngine],
-    threads: usize,
-    collect_trace: bool,
-) -> Vec<(usize, SimResult, crate::sim::DeltaInfo)> {
-    let workers = threads.min(due.len()).min(engines.len());
-    if workers <= 1 {
-        let engine = engines.first_mut().expect("delta engine pool");
-        return due
-            .iter()
-            .map(|&slot| {
-                let (result, journal) = engine.simulate(&candidates[slot].layout, collect_trace);
-                (slot, result, journal)
-            })
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut scored: Vec<(usize, SimResult, crate::sim::DeltaInfo)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = engines
-            .iter_mut()
-            .take(workers)
-            .map(|engine| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let next = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&slot) = due.get(next) else { break };
-                        let (result, journal) =
-                            engine.simulate(&candidates[slot].layout, collect_trace);
-                        local.push((slot, result, journal));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("simulation worker panicked"))
-            .collect()
-    });
-    scored.sort_by_key(|(slot, _, _)| *slot);
-    scored
 }
 
 #[cfg(test)]

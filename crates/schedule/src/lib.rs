@@ -19,7 +19,8 @@
 //! 6. [`sim`] — the Markov-driven discrete-event scheduling simulator;
 //! 7. [`trace`] / [`critpath`] — execution traces and critical-path
 //!    analysis;
-//! 8. [`dsa`] — directed simulated annealing;
+//! 8. [`dsa`] — directed simulated annealing, scoring candidates on
+//!    [`pool`], one budgeted simulation pool per search;
 //! 9. [`synthesis`] — the end-to-end driver.
 //!
 //! # Examples
@@ -32,6 +33,7 @@ pub mod dsa;
 pub mod groups;
 pub mod layout;
 pub mod mapping;
+pub mod pool;
 pub mod preprocess;
 pub mod sim;
 pub mod synthesis;
@@ -48,6 +50,7 @@ pub use layout::{GroupInstance, InstanceId, Layout, RouteDecision, Router, Route
 pub use mapping::{
     control_spread_layout, enumerate_mappings, random_layouts, spread_layout, MappingOptions,
 };
+pub use pool::PoolStats;
 pub use preprocess::scc_tree_transform;
 pub use sim::{
     fast_simulate, simulate, CachedSim, DeltaInfo, SimCache, SimEngine, SimOptions, SimProgram,

@@ -6,12 +6,13 @@
 //! an optimized [`Layout`] plus the artifacts downstream consumers (the
 //! runtime's executors, the experiment harness) need.
 
-use crate::dsa::{optimize, worker_threads, DsaOptions, DsaStats};
+use crate::dsa::{anneal, with_scorer, DsaOptions, DsaStats};
 use crate::groups::GroupGraph;
 use crate::layout::Layout;
 use crate::mapping::{control_spread_layout, random_layouts, spread_layout};
+use crate::pool::{PoolStats, SimPool};
 use crate::preprocess::scc_tree_transform;
-use crate::sim::SimResult;
+use crate::sim::{SimCache, SimProgram, SimResult};
 use crate::transforms::{compute_replication, replicable, Replication};
 use bamboo_analysis::cstg::Cstg;
 use bamboo_lang::spec::ProgramSpec;
@@ -25,13 +26,15 @@ use rand::{Rng, SeedableRng};
 pub struct SynthesisOptions {
     /// Random starting layouts handed to the annealer.
     pub initial_candidates: usize,
-    /// Worker threads for the whole synthesis pipeline: the annealer's
-    /// candidate evaluations fan out over this many threads
-    /// (overriding [`DsaOptions::threads`]), and replication variants
-    /// anneal concurrently when more than one is searched. `0` uses
-    /// every available core; `1` runs fully serially. The synthesized
-    /// layout, estimate, and statistics are bit-identical at any
-    /// setting.
+    /// Upper bound on the synthesis's live simulation threads, the
+    /// caller's included (overriding [`DsaOptions::threads`]): at most
+    /// this many threads; small searches run on the caller's thread.
+    /// One simulation pool serves every replication variant, and a batch
+    /// of candidate simulations starts or wakes helpers only when they
+    /// take more simulation time off the caller than they cost to start
+    /// (see [`crate::pool`]). `0` allows one per available core; `1`
+    /// runs fully serially. The synthesized layout, estimate, and
+    /// statistics are bit-identical at any setting.
     pub threads: usize,
     /// Annealer configuration.
     pub dsa: DsaOptions,
@@ -68,6 +71,9 @@ pub struct SynthesisResult {
     pub estimate: SimResult,
     /// Search statistics.
     pub stats: DsaStats,
+    /// What the simulation pool decided (host-dependent, unlike
+    /// `stats`).
+    pub pool: PoolStats,
 }
 
 /// Runs the full synthesis pipeline for `machine`.
@@ -78,9 +84,9 @@ pub struct SynthesisResult {
 /// `cores - 1`, leaving a dedicated core for the serial group — the shape
 /// behind the paper's pipelined MonteCarlo layout. Each variant anneals
 /// with its own RNG seeded from `rng` (drawn up front, in variant
-/// order), which makes the variants independent: they run concurrently
-/// when [`SynthesisOptions::threads`] permits, and the result is
-/// bit-identical to the serial schedule either way. The better variant
+/// order), which makes the variants independent. They anneal one after
+/// another over one shared simulation program and pool, whose threads
+/// never exceed [`SynthesisOptions::threads`]. The better variant
 /// wins (ties break toward the full variant); its statistics absorb the
 /// losing variants' volume counters via [`DsaStats::merge_counters`], so
 /// `stats.simulations` reports the whole search's work while the
@@ -120,50 +126,44 @@ pub fn synthesize<R: Rng>(
         threads: opts.threads,
         ..opts.dsa.clone()
     };
-    let run_variant = |replication: Replication, seed: u64| -> SynthesisResult {
-        let mut vrng = StdRng::seed_from_u64(seed);
-        let mut initial = random_layouts(
-            &graph,
-            &replication,
-            cores,
-            opts.initial_candidates.max(1),
-            &mut vrng,
-        );
-        // Seed the annealer with the canonical data-parallel layouts too.
-        initial.push(spread_layout(&graph, &replication, cores));
-        initial.push(control_spread_layout(&graph, &replication, cores));
-        let (layout, estimate, stats) = optimize(
-            spec, &graph, profile, machine, initial, &dsa_opts, &mut vrng,
-        );
-        SynthesisResult {
-            graph: graph.clone(),
-            replication,
-            layout,
-            estimate,
-            stats,
-        }
-    };
-
-    let searched: Vec<SynthesisResult> = if worker_threads(opts.threads) > 1 && variants.len() > 1 {
-        let run_variant = &run_variant;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = variants
-                .into_iter()
-                .zip(seeds)
-                .map(|(replication, seed)| scope.spawn(move || run_variant(replication, seed)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("variant search panicked"))
-                .collect()
-        })
-    } else {
+    let program = SimProgram::new(spec, &graph, profile, machine, &dsa_opts.sim);
+    let search = |mut pool: Option<&mut SimPool<'_, '_>>| -> Vec<SynthesisResult> {
         variants
             .into_iter()
             .zip(seeds)
-            .map(|(replication, seed)| run_variant(replication, seed))
+            .map(|(replication, seed)| {
+                let mut vrng = StdRng::seed_from_u64(seed);
+                let mut initial = random_layouts(
+                    &graph,
+                    &replication,
+                    cores,
+                    opts.initial_candidates.max(1),
+                    &mut vrng,
+                );
+                // Seed the annealer with the canonical data-parallel
+                // layouts too.
+                initial.push(spread_layout(&graph, &replication, cores));
+                initial.push(control_spread_layout(&graph, &replication, cores));
+                let (layout, estimate, stats) = anneal(
+                    &program,
+                    initial,
+                    &dsa_opts,
+                    &mut vrng,
+                    &mut SimCache::new(),
+                    pool.as_deref_mut(),
+                );
+                SynthesisResult {
+                    graph: graph.clone(),
+                    replication,
+                    layout,
+                    estimate,
+                    stats,
+                    pool: PoolStats::default(),
+                }
+            })
             .collect()
     };
+    let (searched, pool) = with_scorer(&program, &dsa_opts, search);
 
     let winner = searched
         .iter()
@@ -182,6 +182,7 @@ pub fn synthesize<R: Rng>(
         .nth(winner)
         .expect("winner index in range");
     result.stats = merged_stats;
+    result.pool = pool;
     result
 }
 

@@ -57,6 +57,7 @@ pub use report::TelemetryReport;
 pub use scope::{ScopeConfig, ScopeHandle, ScopeRecorder, ScopeSnapshot};
 
 use bamboo_schedule::dsa::DsaStats;
+use bamboo_schedule::pool::PoolStats;
 use ring::EventRing;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -254,6 +255,20 @@ impl Telemetry {
             .set((stats.cache_hit_rate() * 100.0).round() as i64);
         self.series("dsa.best_makespan_trajectory")
             .extend(&stats.trajectory);
+    }
+
+    /// Records what a synthesis's simulation pool decided: helpers
+    /// started, batches fanned out, batches run inline.
+    pub fn record_dsa_pool(&self, pool: &PoolStats) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.counter("dsa.pool.helpers_started")
+            .add(pool.helpers_started as u64);
+        self.counter("dsa.pool.batches_fanned_out")
+            .add(pool.batches_fanned_out as u64);
+        self.counter("dsa.pool.batches_inline")
+            .add(pool.batches_inline as u64);
     }
 
     /// Merges every submitted ring into one ordered [`TelemetryReport`]

@@ -1,12 +1,15 @@
 //! Determinism of parallel, memoized synthesis (paper §4.5 machinery).
 //!
-//! Candidate evaluation inside the DSA annealer and the per-variant
-//! replication search both fan out over worker threads, and simulations
-//! are memoized by layout fingerprint — none of which may change what
-//! gets synthesized. These tests pin the contract on real benchmarks:
-//! the same seed yields the identical best layout, makespan, and
-//! [`DsaStats`] trajectory at any worker-thread count, with and without
-//! the simulation cache.
+//! Candidate simulations inside the DSA annealer run on one simulation
+//! pool per synthesis, which shares a batch with helper threads only
+//! when they pay for their start, and simulations are memoized by
+//! layout fingerprint — none of which may change what gets synthesized.
+//! These tests pin the contract on real benchmarks: the same seed yields
+//! the identical best layout, makespan, and [`DsaStats`] trajectory at
+//! any thread count, with and without the simulation cache, and the
+//! pool never runs more threads than asked for.
+//!
+//! [`DsaStats`]: bamboo::DsaStats
 
 use bamboo::{DsaOptions, MachineDescription, SynthesisOptions, SynthesisResult};
 use bamboo_apps::{by_name, Scale};
@@ -16,22 +19,44 @@ use rand::SeedableRng;
 /// Synthesizes `bench` at `Scale::Small` for the paper's 62-core
 /// machine with the given options, from a fixed seed.
 fn synthesize(bench: &str, opts: &SynthesisOptions) -> SynthesisResult {
+    synthesize_on(bench, &MachineDescription::tilepro64(), opts)
+}
+
+/// Synthesizes `bench` at `Scale::Small` for `machine`, from a fixed
+/// seed.
+fn synthesize_on(
+    bench: &str,
+    machine: &MachineDescription,
+    opts: &SynthesisOptions,
+) -> SynthesisResult {
     let bench = by_name(bench).expect("benchmark registered");
     let compiler = bench.compiler(Scale::Small);
     let (profile, _, ()) = compiler
         .profile_run(None, "t", |_| ())
         .expect("profile run");
-    let machine = MachineDescription::tilepro64();
     let mut rng = StdRng::seed_from_u64(4242);
-    compiler.synthesize(&profile, &machine, opts, &mut rng)
+    compiler.synthesize(&profile, machine, opts, &mut rng)
+}
+
+/// The thread-invariance table: the paper's 62-core shape and the
+/// 2-core serving shape.
+fn invariance_cases() -> Vec<(&'static str, MachineDescription, &'static [usize])> {
+    vec![
+        ("KMeans", MachineDescription::tilepro64(), &[4, 8]),
+        ("FilterBank", MachineDescription::tilepro64(), &[4, 8]),
+        ("KMeans", MachineDescription::n_cores(2), &[2, 4, 8]),
+        ("Fractal", MachineDescription::n_cores(2), &[2, 4, 8]),
+    ]
 }
 
 #[test]
 fn same_seed_is_identical_at_any_thread_count() {
-    for bench in ["KMeans", "FilterBank"] {
-        let serial = synthesize(bench, &SynthesisOptions::default().with_threads(1));
-        for threads in [4, 8] {
-            let parallel = synthesize(bench, &SynthesisOptions::default().with_threads(threads));
+    for (name, machine, thread_counts) in invariance_cases() {
+        let serial = synthesize_on(name, &machine, &SynthesisOptions::default().with_threads(1));
+        let bench = format!("{name} on {} cores", machine.core_count());
+        for &threads in thread_counts {
+            let opts = SynthesisOptions::default().with_threads(threads);
+            let parallel = synthesize_on(name, &machine, &opts);
             assert_eq!(
                 parallel.layout, serial.layout,
                 "{bench}: layout diverged at {threads} threads"
@@ -95,5 +120,37 @@ fn memoization_does_not_change_what_is_synthesized() {
             cold.stats.delta_hits, 0,
             "{bench}: delta reuse requires the cache"
         );
+    }
+}
+
+/// `threads` bounds the live simulation threads, the caller's included:
+/// a synthesis starts at most `threads - 1` helpers, however many
+/// replication variants it searches.
+#[test]
+fn helpers_never_exceed_the_thread_bound() {
+    for (bench, machine, thread_counts) in invariance_cases() {
+        for &threads in [1].iter().chain(thread_counts) {
+            let result = synthesize_on(
+                bench,
+                &machine,
+                &SynthesisOptions::default().with_threads(threads),
+            );
+            let pool = result.pool;
+            assert!(
+                pool.helpers_started < threads,
+                "{bench}: {} helpers started at threads = {threads}",
+                pool.helpers_started
+            );
+            assert!(
+                pool.batches_fanned_out + pool.batches_inline >= 1,
+                "{bench}: the pool recorded no batch"
+            );
+            if threads == 1 {
+                assert_eq!(
+                    pool.batches_fanned_out, 0,
+                    "{bench}: fanned out at 1 thread"
+                );
+            }
+        }
     }
 }

@@ -228,6 +228,13 @@ fn dsa_statistics_flow_into_telemetry() {
         "best-cost trajectory must be non-increasing: {trajectory:?}"
     );
     assert_eq!(*trajectory.last().unwrap(), plan.stats.best_makespan);
+
+    // The simulation pool's decisions ride along as `dsa.pool.*`.
+    let pool = |name: &str| metrics.counters[&format!("dsa.pool.{name}")] as usize;
+    assert_eq!(pool("helpers_started"), plan.pool.helpers_started);
+    assert_eq!(pool("batches_fanned_out"), plan.pool.batches_fanned_out);
+    assert_eq!(pool("batches_inline"), plan.pool.batches_inline);
+    assert!(pool("batches_fanned_out") + pool("batches_inline") >= 1);
 }
 
 /// The event stream recorded during a virtual run is consistent with
